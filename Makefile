@@ -6,7 +6,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint lint-cold test bench-smoke
+.PHONY: check lint lint-cold test bench-smoke perfbench-smoke
 
 check: test lint
 
@@ -21,3 +21,11 @@ test:
 
 bench-smoke:
 	$(PYTHON) -m pytest -q -m bench_smoke
+
+# One-second run of each WBC workload of the repo's benchmark
+# (BENCHMARK.json); any nonzero exit -- a failed correctness check, a
+# crash -- fails the target.  ~15 s in total on 2 CPUs.
+perfbench-smoke:
+	@for workload in wbc-1shard wbc-16shard wbc-crash; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --seed 1 --seconds 1 --trace 0 || exit 1; \
+	done

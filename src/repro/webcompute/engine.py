@@ -21,7 +21,17 @@ Two seams make the engine shard-able:
   consistent with what volunteers compute.
 * **Event bus** -- every state transition publishes a typed event
   (:mod:`~repro.webcompute.events`); the metrics layer and the simulation
-  driver subscribe instead of reaching into private state.
+  driver subscribe instead of reaching into private state.  A shard
+  engine is built with ``bus=EventBus(shard=...)``, so its events carry
+  their shard from the moment they are built.
+
+A caller that has already decoded an index (the sharded router decodes
+every global index to pick the shard) hands the local index down as
+``local=`` to :meth:`~AllocationEngine.submit_result`,
+:meth:`~AllocationEngine.attribute` and :meth:`~AllocationEngine.locate`,
+so the index is decoded once per call, not once per layer.  Without
+``local`` the engine decodes through its codec, which also checks that
+the index belongs to this engine's slice of the space.
 """
 
 from __future__ import annotations
@@ -217,6 +227,7 @@ class AllocationEngine:
             self.bus.publish(
                 VolunteerRegistered(
                     tick=self._clock,
+                    shard=self.bus.shard,
                     volunteer_id=vid,
                     row=assignment.row,
                     start_serial=assignment.start_serial,
@@ -239,6 +250,7 @@ class AllocationEngine:
         self.bus.publish(
             VolunteerDeparted(
                 tick=self._clock,
+                shard=self.bus.shard,
                 volunteer_id=volunteer_id,
                 row=row,
                 resume_serial=resume,
@@ -278,6 +290,7 @@ class AllocationEngine:
         self.bus.publish(
             TaskIssued(
                 tick=self._clock,
+                shard=self.bus.shard,
                 volunteer_id=volunteer_id,
                 task_index=index,
                 row=row,
@@ -286,15 +299,23 @@ class AllocationEngine:
         )
         return task
 
-    def submit_result(self, volunteer_id: int, task_index: int, result: int) -> None:
+    def submit_result(
+        self,
+        volunteer_id: int,
+        task_index: int,
+        result: int,
+        *,
+        local: int | None = None,
+    ) -> None:
         """Accept a result.  The submitted task must attribute (via the APF
         inverse + epochs) to the submitting volunteer -- a mismatch is the
         accountability scheme catching a forged submission.  The one
         sanctioned exception is a lease reissue: the recorded reissue
         target may also return the task, but attribution (and hence
         responsibility for the original serial) still names the original
-        assignee."""
-        owner = self.attribute(task_index)
+        assignee.  ``local`` is *task_index* already decoded by the
+        caller (see :meth:`locate`)."""
+        owner = self.attribute(task_index, local=local)
         if owner != volunteer_id:
             task = self.ledger.task(task_index)
             if task.reissued_to != volunteer_id:
@@ -343,6 +364,7 @@ class AllocationEngine:
             self.bus.publish(
                 TaskReissued(
                     tick=self._clock,
+                    shard=self.bus.shard,
                     task_index=task.index,
                     from_volunteer=previous,
                     to_volunteer=target,
@@ -370,20 +392,27 @@ class AllocationEngine:
         self.bus.publish(
             VolunteerCorrupted(
                 tick=self._clock,
+                shard=self.bus.shard,
                 volunteer_id=volunteer_id,
                 error_rate=error_rate,
             )
         )
         return corrupted
 
-    def locate(self, task_index: int) -> tuple[int, int]:
+    def locate(self, task_index: int, *, local: int | None = None) -> tuple[int, int]:
         """The allocation coordinates ``(row, serial)`` behind a
-        caller-visible task index: codec decode, then ``T^-1``."""
-        return self.allocator.attribute(self.codec.decode(task_index))
+        caller-visible task index: codec decode, then ``T^-1``.  A caller
+        that already decoded *task_index* to this engine's local index
+        passes it as ``local`` and the decode is skipped; the caller then
+        vouches that the index belongs to this engine."""
+        if local is None:
+            local = self.codec.decode(task_index)
+        return self.allocator.attribute(local)
 
-    def attribute(self, task_index: int) -> int:
-        """Who is responsible for *task_index*?  Decode, ``T^-1``, epochs."""
-        row, serial = self.locate(task_index)
+    def attribute(self, task_index: int, *, local: int | None = None) -> int:
+        """Who is responsible for *task_index*?  Decode (unless ``local``
+        is given, see :meth:`locate`), ``T^-1``, epochs."""
+        row, serial = self.locate(task_index, local=local)
         return self.frontend.volunteer_for(row, serial)
 
     # ------------------------------------------------------------------

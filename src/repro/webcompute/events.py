@@ -9,7 +9,15 @@ registration / issue / departure events, the
 ban events, the :class:`~repro.webcompute.frontend.FrontEnd` publishes row
 seating / recycling events, and the
 :class:`~repro.webcompute.sharding.ShardedWBCServer` re-publishes every
-shard's stream onto one global bus with the shard id stamped on.
+shard's stream onto one global bus.
+
+Events are stamped with their shard where they are built, not on relay:
+a shard engine's bus carries its shard id (:attr:`EventBus.shard`), and
+every component building an event against that bus sets ``shard`` from
+it, the way it sets ``tick`` from the bus's clock.  The relays
+(:meth:`EventBus.forward_to`, :meth:`EventBus.republish`) then pass the
+very same frozen object on, so the engine's bus and the global bus see
+one event, not a stamped copy.
 
 Design constraints:
 
@@ -34,7 +42,7 @@ Design constraints:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Union
 
 __all__ = [
@@ -286,11 +294,16 @@ class EventBus:
 
     ``clock`` is an optional zero-argument callable giving the current
     tick; components without their own clock (the front end) stamp events
-    with :meth:`now`.
+    with :meth:`now`.  ``shard`` is the shard id every event built against
+    this bus carries (``None`` outside a sharded server); it is fixed when
+    the shard's engine is built.
     """
 
-    def __init__(self, clock: Callable[[], int] | None = None) -> None:
+    def __init__(
+        self, clock: Callable[[], int] | None = None, shard: int | None = None
+    ) -> None:
         self._clock = clock
+        self.shard = shard
         self._handlers: list[tuple[tuple[type, ...] | None, Callable[[WBCEvent], None]]] = []
 
     def now(self) -> int:
@@ -325,25 +338,24 @@ class EventBus:
             if types is None or isinstance(event, types):
                 handler(event)
 
-    def forward_to(self, target: "EventBus", shard: int | None = None) -> Callable[[], None]:
-        """Re-publish this bus's stream onto *target*, stamping ``shard``
-        on each event (the sharded router's aggregation hook)."""
+    def forward_to(self, target: "EventBus") -> Callable[[], None]:
+        """Re-publish this bus's stream onto *target*, passing each event
+        on unchanged (the sharded router's aggregation hook; the shard id
+        was stamped when the event was built)."""
 
+        # ``target.publish`` is looked up per event, not bound once here,
+        # so class-level instrumentation of ``publish`` sees relayed events.
         def relay(event: WBCEvent) -> None:
-            if shard is not None and event.shard is None:
-                event = replace(event, shard=shard)
             target.publish(event)
 
         return self.subscribe(relay)
 
-    def republish(self, event: WBCEvent, shard: int | None = None) -> None:
-        """Publish an event that was *already stamped* with its tick by an
-        upstream bus, tagging ``shard`` when the event carries none.  The
-        parallel router's aggregation hook: worker-side engine buses stamp
-        ticks at publish time, the parent re-publishes the shipped events
-        here so global subscribers see one stream either way."""
-        if shard is not None and event.shard is None:
-            event = replace(event, shard=shard)
+    def republish(self, event: WBCEvent) -> None:
+        """Publish an event built by an upstream bus, with its tick and
+        shard already set.  The parallel router's aggregation hook:
+        worker-side engines build their events stamped, the parent
+        re-publishes the shipped events here so global subscribers see
+        one stream either way."""
         self.publish(event)
 
     @property

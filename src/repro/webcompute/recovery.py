@@ -20,14 +20,20 @@ engine's determinism:
   pinned bit-identical to the engine's live ``apply_delta`` by the
   recovery differential tests.
 * The **op journal** records every state-mutating engine call made after
-  the checkpoint, in order, as small JSON-able entries.  Because the
+  the checkpoint, in order, as small JSON-able entries.  Entries are kept
+  as the router hands them over and encoded when the journal is read
+  (:meth:`CheckpointStore.ops`, which only a restore calls): the hot path
+  pays a list append per op, and a restore still reads back exactly what
+  a durable JSON journal would hold.  Because the
   engine is deterministic (the only randomness is the ledger's
   verification RNG, whose state is *inside* the checkpoint), replaying
   the journal against the restored checkpoint reproduces the lost state
   bit-for-bit -- same task indices, same strikes, same bans.
 * :func:`replay` applies a journal to a restored engine and returns the
   op count; :func:`apply_op` is the single-op dispatcher (also the
-  documentation of the journal grammar).
+  documentation of the journal grammar).  A malformed op -- not a list,
+  empty, an unknown tag, or the wrong number of fields for its tag --
+  raises :class:`~repro.errors.RecoveryError`.
 
 Ops are journaled *after* the engine call succeeds ("journal-after-
 success"): every mutating engine method validates before mutating, so a
@@ -148,7 +154,8 @@ class CheckpointStore:
     checkpoint is provably serializable (what a disk or object store
     would hold) and the restored state shares no mutable structure with
     the live engine -- a crashed shard really does lose its in-memory
-    objects.
+    objects.  Checkpoints and segments are encoded when they are cut;
+    journal ops are encoded when they are read back (:meth:`ops`).
 
     ``compact_every`` bounds the log: once that many segments have
     accumulated, :attr:`wants_compaction` turns true and the owner's next
@@ -171,7 +178,7 @@ class CheckpointStore:
         self._base_issued = 0
         self._segments: list[str] = []
         self._segment_meta: list[tuple[int, int]] = []  # (tick, issued)
-        self._journal: list[str] = []
+        self._journal: list[list[Any]] = []
 
     # ------------------------------------------------------------------
 
@@ -210,8 +217,11 @@ class CheckpointStore:
         return meta
 
     def journal(self, op: list[Any]) -> None:
-        """Append one op (see :func:`apply_op` for the grammar)."""
-        self._journal.append(json.dumps(op))
+        """Append one op (see :func:`apply_op` for the grammar).  The op
+        is kept as given, not encoded: the caller hands it over and does
+        not touch it again, and :meth:`ops` encodes the journal when a
+        restore reads it."""
+        self._journal.append(op)
 
     @property
     def has_checkpoint(self) -> bool:
@@ -291,8 +301,28 @@ class CheckpointStore:
         )
 
     def ops(self) -> list[list[Any]]:
-        """The journaled ops since the newest log entry, in order."""
-        return [json.loads(entry) for entry in self._journal]
+        """The journaled ops since the newest log entry, in order, read
+        back through a JSON round trip: fresh objects on every call, in
+        exactly the form a durable journal would return.  An op that
+        does not encode raises :class:`~repro.errors.RecoveryError`."""
+        try:
+            return json.loads(json.dumps(self._journal))
+        except (TypeError, ValueError) as exc:
+            raise RecoveryError(f"journal op does not encode as JSON: {exc}") from exc
+
+
+#: Fields per journal op, tag included (see :func:`apply_op`).
+_OP_SIZES = {
+    "tick": 1,
+    "register": 3,
+    "depart": 2,
+    "request": 2,
+    "requests": 2,
+    "submit": 4,
+    "submits": 2,
+    "reap": 1,
+    "corrupt": 3,
+}
 
 
 def apply_op(engine: AllocationEngine, op: list[Any]) -> None:
@@ -317,8 +347,21 @@ def apply_op(engine: AllocationEngine, op: list[Any]) -> None:
 
     Replay is deterministic because every op carries the ids the original
     call resolved and the engine's only RNG rides in the checkpoint.
+
+    An op that is not a non-empty list, has an unknown tag, or has the
+    wrong number of fields for its tag raises
+    :class:`~repro.errors.RecoveryError` before the engine is touched.
     """
+    if not isinstance(op, list) or not op:
+        raise RecoveryError(f"journal op must be a non-empty list, got {op!r}")
     kind = op[0]
+    size = _OP_SIZES.get(kind) if isinstance(kind, str) else None
+    if size is None:
+        raise RecoveryError(f"unknown journal op {kind!r}")
+    if len(op) != size:
+        raise RecoveryError(
+            f"journal op {kind!r} has {len(op)} fields, expected {size}"
+        )
     if kind == "tick":
         engine.tick()
     elif kind == "register":
@@ -340,20 +383,21 @@ def apply_op(engine: AllocationEngine, op: list[Any]) -> None:
         engine.reap_expired()
     elif kind == "corrupt":
         engine.mark_corrupted(op[1], op[2])
-    else:
-        raise RecoveryError(f"unknown journal op {kind!r}")
 
 
-def replay(engine: AllocationEngine, ops: list[list[Any]]) -> int:
+def replay(engine: AllocationEngine, ops: list[list[Any]], start: int = 0) -> int:
     """Apply *ops* in order; returns the number replayed.  Any engine
     rejection during replay means the journal diverged from the
-    checkpoint -- recovery must fail loudly, not half-restore."""
-    for i, op in enumerate(ops):
+    checkpoint -- recovery must fail loudly, not half-restore.  *start*
+    numbers the first op in that error (a streaming restore replays its
+    journal a piece at a time)."""
+    for i, op in enumerate(ops, start):
         try:
             apply_op(engine, op)
         except Exception as exc:
+            tag = op[0] if isinstance(op, list) and op else op
             raise RecoveryError(
-                f"journal replay diverged at op {i} ({op[0]!r}): {exc}"
+                f"journal replay diverged at op {i} ({tag!r}): {exc}"
             ) from exc
     return len(ops)
 

@@ -108,7 +108,7 @@ from repro.webcompute.events import (
     VolunteerBanned,
 )
 from repro.webcompute.ledger import LedgerReport
-from repro.webcompute.recovery import CheckpointStore, apply_op
+from repro.webcompute.recovery import CheckpointStore, replay
 from repro.webcompute.shardworker import EngineSpec, WorkerHandle, shard_codec
 from repro.webcompute.task import Task
 from repro.webcompute.volunteer import VolunteerProfile
@@ -469,7 +469,17 @@ class _RemoteShard:
     def request_task(self, volunteer_id: int) -> Task:
         return self._op(["request", volunteer_id])
 
-    def submit_result(self, volunteer_id: int, task_index: int, result: int) -> None:
+    # ``local`` (here and on attribute / locate) is accepted but not
+    # shipped: the worker-hosted engine decodes the index itself, checking
+    # it belongs to the shard, and the ``submit`` op keeps its grammar.
+    def submit_result(
+        self,
+        volunteer_id: int,
+        task_index: int,
+        result: int,
+        *,
+        local: int | None = None,
+    ) -> None:
         return self._op(["submit", volunteer_id, task_index, result])
 
     def reap_expired(self) -> list[Task]:
@@ -484,10 +494,10 @@ class _RemoteShard:
     def profile_of(self, volunteer_id: int) -> VolunteerProfile:
         return self._call("profile_of", volunteer_id)
 
-    def attribute(self, task_index: int) -> int:
+    def attribute(self, task_index: int, *, local: int | None = None) -> int:
         return self._call("attribute", task_index)
 
-    def locate(self, task_index: int) -> tuple[int, int]:
+    def locate(self, task_index: int, *, local: int | None = None) -> tuple[int, int]:
         row, serial = self._call("locate", task_index)
         return row, serial
 
@@ -628,7 +638,7 @@ class ShardedWBCServer:
         if workers is None:
             for shard in range(shards):
                 engine = self._fresh_engine(shard)
-                engine.bus.forward_to(self.bus, shard=shard)
+                engine.bus.forward_to(self.bus)
                 self.engines.append(engine)
                 store = CheckpointStore(compact_every=compact_every)
                 store.checkpoint(engine)
@@ -654,13 +664,16 @@ class ShardedWBCServer:
 
     def _fresh_engine(self, shard: int) -> AllocationEngine:
         """A blank engine wired for *shard* (construction and recovery
-        both start here; recovery then restores state into it)."""
+        both start here; recovery then restores state into it).  Its bus
+        carries the shard id, so every event the engine builds is stamped
+        at the source."""
         return AllocationEngine(
             self._apf,
             verification_rate=self._verification_rate,
             ban_after_strikes=self._ban_after_strikes,
             seed=self._seed + shard,
             codec=self._codec_for(shard),
+            bus=EventBus(shard=shard),
             lease_ticks=self.lease_ticks,
         )
 
@@ -738,10 +751,10 @@ class ShardedWBCServer:
 
     def _republish(self, events: list) -> None:
         """Deliver worker-side engine events to the global bus, in the
-        order the worker recorded them (ticks were stamped by the
-        worker's bus at publish time; the shard tag is stamped here)."""
-        for shard, event in events:
-            self.bus.republish(event, shard=shard)
+        order the worker recorded them (each was built with its tick and
+        shard already set)."""
+        for event in events:
+            self.bus.republish(event)
 
     def _worker_op(self, shard: int, op: list):
         """Ship one journal-grammar op to *shard*'s host worker; returns
@@ -1078,14 +1091,9 @@ class ShardedWBCServer:
                     if kind == "delta":
                         session.engine.apply_delta(item)
                     else:
-                        try:
-                            apply_op(session.engine, item)
-                        except Exception as exc:
-                            raise RecoveryError(
-                                f"journal replay diverged at op "
-                                f"{session.replayed_ops} ({item[0]!r}): {exc}"
-                            ) from exc
-                        session.replayed_ops += 1
+                        session.replayed_ops += replay(
+                            session.engine, [item], start=session.replayed_ops
+                        )
                     budget -= 1
             else:
                 chunk = []
@@ -1135,7 +1143,7 @@ class ShardedWBCServer:
             raise
         self._restoring.pop(shard)
         if self._workers is None:
-            session.engine.bus.forward_to(self.bus, shard=shard)
+            session.engine.bus.forward_to(self.bus)
             self.engines[shard] = session.engine
         else:
             self.engines[shard] = _RemoteShard(self, shard)  # type: ignore[assignment]
@@ -1337,9 +1345,14 @@ class ShardedWBCServer:
         a crashed shard raises the transient
         :class:`~repro.errors.ShardDownError`; the caller (the
         simulation's retry queue, a real frontend) re-submits with
-        backoff."""
-        shard, _local, engine = self._engine_for_index(task_index)
-        engine.submit_result(volunteer_id, task_index, result)
+        backoff.
+
+        The index is decoded once, here: the shard engine gets the local
+        index with it and runs ``T^-1`` and the epoch check on that, so
+        the exact attribution check stays and the codec decode is not
+        repeated."""
+        shard, local, engine = self._engine_for_index(task_index)
+        engine.submit_result(volunteer_id, task_index, result, local=local)
         self._journal(shard, ["submit", volunteer_id, task_index, result])
 
     # -- batched entry points ------------------------------------------
@@ -1494,9 +1507,10 @@ class ShardedWBCServer:
 
     def attribute(self, task_index: int) -> int:
         """Global attribution: ``unpair`` to ``(shard, local)``, then the
-        shard's APF inverse and epoch table."""
-        _shard, _local, engine = self._engine_for_index(task_index)
-        return engine.attribute(task_index)
+        shard's APF inverse and epoch table.  One decode: the local index
+        is handed to the shard engine, which does not decode again."""
+        _shard, local, engine = self._engine_for_index(task_index)
+        return engine.attribute(task_index, local=local)
 
     def attribution_path(self, task_index: int) -> AttributionPath:
         """The full inverse chain

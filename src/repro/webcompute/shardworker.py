@@ -32,11 +32,11 @@ the process boundary:
 
 Protocol: one request message, one reply.  Every reply is
 ``(status, payload, events)`` where ``events`` is the ordered list of
-``(shard, event)`` pairs the hosted engines published since the previous
-reply.  A worker process dying surfaces as :class:`WorkerDiedError` on the
-parent side; the router maps that onto the existing
-``crash_shard``/``restore_shard`` fault path, so a real process death is
-indistinguishable from an injected crash.
+events the hosted engines published since the previous reply, each
+already stamped with its shard.  A worker process dying surfaces as
+:class:`WorkerDiedError` on the parent side; the router maps that onto
+the existing ``crash_shard``/``restore_shard`` fault path, so a real
+process death is indistinguishable from an injected crash.
 """
 
 from __future__ import annotations
@@ -49,7 +49,8 @@ from repro.apf.base import AdditivePairingFunction
 from repro.core.base import PairingFunction
 from repro.errors import AllocationError, RecoveryError, ShardDownError
 from repro.webcompute.engine import AllocationEngine, IndexCodec
-from repro.webcompute.recovery import apply_op
+from repro.webcompute.events import EventBus
+from repro.webcompute.recovery import replay
 from repro.webcompute.volunteer import VolunteerProfile
 
 __all__ = ["shard_codec", "EngineSpec", "WorkerHandle", "WorkerDiedError", "worker_main"]
@@ -86,7 +87,9 @@ def shard_codec(composer: PairingFunction, shard: int) -> IndexCodec:
 class EngineSpec:
     """The picklable recipe for one shard's engine.  ``build()`` must
     reproduce exactly what the serial router's ``_fresh_engine`` builds:
-    same seed offset, same codec, same ledger knobs."""
+    same seed offset, same codec, same ledger knobs, and a bus carrying
+    the shard id, so worker-side events are stamped where they are
+    built."""
 
     apf: AdditivePairingFunction
     composer: PairingFunction
@@ -103,6 +106,7 @@ class EngineSpec:
             ban_after_strikes=self.ban_after_strikes,
             seed=self.seed + self.shard,
             codec=shard_codec(self.composer, self.shard),
+            bus=EventBus(shard=self.shard),
             lease_ticks=self.lease_ticks,
         )
 
@@ -164,23 +168,21 @@ def worker_main(conn, specs: dict[int, EngineSpec]) -> None:
     """The worker process body: host the engines described by *specs*
     and serve the router until a ``stop`` message or a closed pipe.
 
-    Every reply carries the ordered ``(shard, event)`` stream published
-    since the previous reply; restore attaches the event tap only *after*
-    journal replay, so replayed history is never re-published -- the same
-    discipline as the serial ``restore_shard``."""
+    Every reply carries the ordered stream of events (each stamped with
+    its shard where it was built) published since the previous reply;
+    restore attaches the event tap only *after* journal replay, so
+    replayed history is never re-published -- the same discipline as the
+    serial ``restore_shard``."""
     engines: dict[int, AllocationEngine] = {}
     restoring: dict[int, AllocationEngine] = {}
-    pending_events: list[tuple[int, Any]] = []
-
-    def attach(shard: int, engine: AllocationEngine) -> None:
-        engine.bus.subscribe(lambda event, _s=shard: pending_events.append((_s, event)))
+    pending_events: list[Any] = []
 
     for shard in sorted(specs):
         engine = specs[shard].build()
-        attach(shard, engine)
+        engine.bus.subscribe(pending_events.append)
         engines[shard] = engine
 
-    def drain() -> list[tuple[int, Any]]:
+    def drain() -> list[Any]:
         out = pending_events[:]
         pending_events.clear()
         return out
@@ -237,21 +239,14 @@ def worker_main(conn, specs: dict[int, EngineSpec]) -> None:
                     if item_kind == "delta":
                         engine.apply_delta(item)
                     else:
-                        try:
-                            apply_op(engine, item)
-                        except Exception as exc:
-                            raise RecoveryError(
-                                f"journal replay diverged at op {applied} "
-                                f"({item[0]!r}): {exc}"
-                            ) from exc
-                        applied += 1
+                        applied += replay(engine, [item], start=applied)
                 reply = ("ok", applied, drain())
             elif kind == "restore_finish":
                 shard = message[1]
                 engine = restoring.pop(shard, None)
                 if engine is None:
                     raise RecoveryError(f"shard {shard} is not restoring here")
-                attach(shard, engine)
+                engine.bus.subscribe(pending_events.append)
                 engines[shard] = engine
                 issued = engine.ledger.tasks_issued_count()
                 reply = ("ok", (issued, engine.clock), drain())

@@ -11,11 +11,14 @@ from repro.webcompute.events import (
     RowRecycled,
     RowSeated,
     TaskIssued,
+    TaskReissued,
     VolunteerBanned,
+    VolunteerCorrupted,
     VolunteerDeparted,
     VolunteerRegistered,
 )
 from repro.webcompute.server import WBCServer
+from repro.webcompute.sharding import ShardedWBCServer
 from repro.webcompute.volunteer import Behavior, VolunteerProfile
 
 
@@ -54,25 +57,16 @@ class TestEventBus:
         bus.set_clock(lambda: 42)
         assert bus.now() == 42
 
-    def test_forward_to_stamps_shard(self):
-        local = EventBus()
-        global_bus = EventBus()
-        log = EventLog.attach(global_bus)
-        local.forward_to(global_bus, shard=3)
-        local.publish(VolunteerBanned(tick=1, volunteer_id=5, strikes=2))
-        assert len(log) == 1
-        forwarded = log.events[0]
-        assert forwarded.shard == 3
-        assert forwarded.volunteer_id == 5
-        # The original event is immutable; forwarding made a stamped copy.
-
     def test_forward_to_preserves_existing_shard(self):
-        local = EventBus()
+        local = EventBus(shard=3)
         global_bus = EventBus()
         log = EventLog.attach(global_bus)
-        local.forward_to(global_bus, shard=3)
-        local.publish(VolunteerBanned(tick=1, volunteer_id=5, strikes=2, shard=9))
-        assert log.events[0].shard == 9
+        local.forward_to(global_bus)
+        event = VolunteerBanned(tick=1, volunteer_id=5, strikes=2, shard=9)
+        local.publish(event)
+        # Relayed as is: the same object, its own stamp kept.
+        assert log.events[0] is event
+        assert event.shard == 9
 
 
 class TestEventCounters:
@@ -179,3 +173,116 @@ class TestServerEventStream:
         server.register(VolunteerProfile("b"))
         assert [s.recycled for s in seats] == [False, True]
         assert seats[0].row == seats[1].row
+
+
+#: Event types an engine (or its ledger / front end) builds.
+ENGINE_EVENTS = (
+    VolunteerRegistered,
+    TaskIssued,
+    TaskReissued,
+    ResultReturned,
+    VolunteerBanned,
+    VolunteerDeparted,
+    VolunteerCorrupted,
+    RowSeated,
+    RowRecycled,
+)
+
+
+class TestSourceStampedEvents:
+    """Every engine-built event carries its shard from the moment it is
+    built; the router relays that very object onto the global bus and
+    never re-publishes history a restore replays."""
+
+    def make_server(self, workers=None) -> ShardedWBCServer:
+        return ShardedWBCServer(
+            TSharp(),
+            shards=3,
+            verification_rate=1.0,
+            ban_after_strikes=2,
+            lease_ticks=2,
+            workers=workers,
+        )
+
+    def drive(self, server: ShardedWBCServer) -> EventLog:
+        """Registration, returns (one volunteer banned), a corruption, a
+        departure, a lease reissue, then a crash/restore of shard 0 and
+        more traffic on the restored shard.  Returns the global log."""
+        log = EventLog.attach(server.bus)
+        profiles = [VolunteerProfile(f"v{i}", speed=1.0 + i) for i in range(6)]
+        profiles.append(
+            VolunteerProfile("m", behavior=Behavior.MALICIOUS, error_rate=1.0)
+        )
+        ids = server.register_round(profiles)
+        cheat = ids[-1]
+        for _ in range(3):
+            server.tick()
+            for vid in ids:
+                if server.is_banned(vid):
+                    continue
+                task = server.request_task(vid)
+                result = task.expected_result
+                server.submit_result(vid, task.index, result ^ 1 if vid == cheat else result)
+        assert server.is_banned(cheat)
+        server.mark_corrupted(ids[0], 0.5)
+        server.depart(ids[1])
+        server.request_task(ids[2])  # never returned: its lease expires
+        for _ in range(3):
+            server.tick()
+        assert server.reap_expired()
+
+        before = len(log)
+        server.crash_shard(0)
+        server.restore_shard(0)
+        replayed = [type(e).__name__ for e in log.events[before:]]
+        assert replayed == ["ShardCrashed", "ShardRestoring", "ShardRestored"]
+
+        server.tick()
+        for vid in ids:
+            if server.shard_of(vid) == 0 and vid != ids[1] and not server.is_banned(vid):
+                task = server.request_task(vid)
+                server.submit_result(vid, task.index, task.expected_result)
+        return log
+
+    def check_stamps(self, server: ShardedWBCServer, log: EventLog) -> list:
+        engine_events = [e for e in log.events if isinstance(e, ENGINE_EVENTS)]
+        assert {type(e) for e in engine_events} == set(ENGINE_EVENTS)
+        for event in engine_events:
+            assert event.shard in range(server.shard_count)
+            vid = getattr(event, "volunteer_id", getattr(event, "from_volunteer", None))
+            if vid is not None:
+                assert event.shard == server.shard_of(vid), event
+            index = getattr(event, "task_index", None)
+            if index is not None:
+                shard_no, _local = server.composer.unpair(index)
+                assert event.shard == shard_no - 1, event
+        return engine_events
+
+    def test_serial_events_are_stamped_where_built(self):
+        server = self.make_server()
+        seen: dict[int, tuple[int, object]] = {}
+
+        def tap(shard: int, bus: EventBus) -> None:
+            bus.subscribe(lambda e: seen.setdefault(id(e), (shard, e)))
+
+        for shard, engine in enumerate(server.engines):
+            tap(shard, engine.bus)
+        original = server.restore_shard
+
+        def restore_and_tap(shard: int) -> None:
+            original(shard)
+            tap(shard, server.engines[shard].bus)
+
+        server.restore_shard = restore_and_tap
+        engine_events = self.check_stamps(server, self.drive(server))
+        # The engine bus and the global bus saw the identical object, and
+        # it came from the engine of the shard it names.
+        for event in engine_events:
+            shard, original_event = seen[id(event)]
+            assert original_event is event
+            assert event.shard == shard
+        assert len(seen) == len(engine_events)
+
+    def test_worker_events_are_stamped_where_built(self):
+        with self.make_server(workers=2) as server:
+            self.check_stamps(server, self.drive(server))

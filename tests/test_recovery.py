@@ -32,7 +32,7 @@ from repro.webcompute.engine import AllocationEngine
 from repro.webcompute.recovery import Backoff, CheckpointStore, apply_op, replay
 from repro.webcompute.sharding import ShardedWBCServer
 from repro.webcompute.simulation import SimulationConfig, WBCSimulation
-from repro.webcompute.volunteer import VolunteerProfile
+from repro.webcompute.volunteer import Behavior, VolunteerProfile
 
 BASE = dict(
     ticks=120,
@@ -248,6 +248,40 @@ class TestCheckpointStore:
         with pytest.raises(RecoveryError):
             apply_op(engine, ["frobnicate", 1])
 
+    # -- malformed ops fail typed, before the engine is touched ---------
+
+    def _rejects(self, op, match: str) -> None:
+        engine = AllocationEngine(TSharp(), seed=1)
+        engine.register(VolunteerProfile("a"))
+        before = engine.snapshot_state()
+        with pytest.raises(RecoveryError, match=match):
+            apply_op(engine, op)
+        assert engine.snapshot_state() == before
+        # replay wraps it, still typed (its message reads the op's tag).
+        with pytest.raises(RecoveryError, match="diverged at op 0"):
+            replay(engine, [op])
+
+    def test_empty_journal_op_raises(self):
+        self._rejects([], "non-empty list")
+
+    def test_short_submit_op_raises(self):
+        self._rejects(["submit", 1], "'submit' has 2 fields, expected 4")
+
+    def test_depart_op_without_volunteer_raises(self):
+        self._rejects(["depart"], "'depart' has 1 fields, expected 2")
+
+    def test_bare_string_op_raises(self):
+        self._rejects("tick", "non-empty list, got 'tick'")
+
+    def test_tuple_op_raises(self):
+        self._rejects(("tick",), "non-empty list")
+
+    def test_overlong_tick_op_raises(self):
+        self._rejects(["tick", 1], "'tick' has 2 fields, expected 1")
+
+    def test_unhashable_tag_raises(self):
+        self._rejects([["tick"]], "unknown journal op")
+
     def test_replay_divergence_fails_loudly(self):
         engine = AllocationEngine(TSharp(), seed=1)
         ops = [["tick"], ["submit", 1, 999, 0]]  # no such task
@@ -313,6 +347,72 @@ class TestCheckpointStore:
             == singular.snapshot_state()
             == live.snapshot_state()
         )
+
+
+class TestJournalReads:
+    """The store keeps ops as handed over and encodes them when
+    :meth:`CheckpointStore.ops` reads the journal back."""
+
+    def every_form(self) -> list:
+        profiles = [
+            VolunteerProfile("a", speed=0.1 + 0.2).to_state(),
+            VolunteerProfile(
+                "m", speed=2.5, behavior=Behavior.MALICIOUS, error_rate=0.9
+            ).to_state(),
+        ]
+        big = 2**70 + 3  # past 2**53 and 2**64: exact ints, not floats
+        return [
+            ["tick"],
+            ["register", profiles, [1, 2]],
+            ["depart", 1],
+            ["request", 2],
+            ["requests", [2, 3]],
+            ["submit", 2, big, big + 1],
+            ["submits", [[2, big, 7], [3, 17, 9]]],
+            ["reap"],
+            ["corrupt", 2, 0.1 + 0.7],
+        ]
+
+    def test_every_grammar_form_round_trips_exactly(self):
+        store = CheckpointStore()
+        ops = self.every_form()
+        for op in ops:
+            store.journal(op)
+        read = store.ops()
+        assert read == ops
+        assert read[1][1][0]["speed"] == 0.1 + 0.2
+        assert isinstance(read[5][2], int) and read[5][2] == 2**70 + 3
+        assert read[8][2] == 0.1 + 0.7
+        assert json.dumps(read) == json.dumps(ops)
+
+    def test_ops_are_fresh_and_mutating_them_changes_nothing(self):
+        store = CheckpointStore()
+        for op in self.every_form():
+            store.journal(op)
+        first = store.ops()
+        second = store.ops()
+        assert first == second
+        assert first is not second
+        assert all(a is not b for a, b in zip(first, second))
+        first[1][1][0]["speed"] = 99.0
+        first[4][1].append(42)
+        first.append(["tick"])
+        assert store.ops() == self.every_form()
+
+    def test_unencodable_op_raises_on_read(self):
+        store = CheckpointStore()
+        store.journal(["tick"])
+        store.journal(["submit", 1, object(), 3])
+        with pytest.raises(RecoveryError, match="does not encode"):
+            store.ops()
+
+    def test_pending_ops_counts_every_op(self):
+        store = CheckpointStore()
+        ops = self.every_form()
+        for count, op in enumerate(ops, 1):
+            store.journal(op)
+            assert store.pending_ops == count
+        assert len(store.ops()) == len(ops)
 
 
 class TestShardCrashRestore:
